@@ -365,10 +365,6 @@ class Simulator:
                     blocked.append(p)
         return blocked
 
-    @property
-    def live_process_count(self):
-        return len(self._live)
-
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
@@ -585,13 +581,6 @@ class Simulator:
         """Schedule a timer that resumes ``process`` with ``value``
         (wait-core timer with per-process recycling)."""
         return self._timers.schedule_resume(process, time, value)
-
-    def _schedule_timer(self, time, action):
-        """Back-compat shim for the pre-dispatch-table internal API."""
-        if callable(action):
-            return self.schedule_at(time, action)
-        _, process, value = action
-        return self._resume_timer(process, time, value)
 
     def _cancel_timer(self, timer):
         """Cancel a timer the kernel scheduled (lazy, with compaction)."""

@@ -37,6 +37,19 @@ class ISSError(Exception):
     """Illegal execution (bad PC, unmapped device, stack issues)."""
 
 
+# How ``run`` executes a decoded instruction: the four hot opcodes of
+# generated code (compute loops and the idle loop) inline, every other
+# opcode by calling its ``_op_<opcode>`` method.
+_SUBI, _BGT, _JMP, _NOP, _CALL = range(5)
+_INLINE = {"subi": _SUBI, "bgt": _BGT, "jmp": _JMP, "nop": _NOP}
+
+_SIGN = 1 << 31
+_NOT_ZN = ~(FLAG_Z | FLAG_N)
+_NZ = FLAG_N | FLAG_Z
+#: cache entry of a word never decoded; its word matches no memory word
+_UNDECODED = (object(), 0, _CALL, None, None, None)
+
+
 class ISS:
     """The processor core.
 
@@ -70,6 +83,9 @@ class ISS:
         #: counts per syscall number (filled by the kernel convention
         #: of writing the number in r1)
         self.syscall_counts = {}
+        #: address -> ``(word, cycles, kind, a, b, c)``, decoded at first
+        #: fetch and valid only while ``memory[address] is word``
+        self._decoded = {}
 
     # ------------------------------------------------------------------
     # execution
@@ -78,36 +94,101 @@ class ISS:
     def run(self, max_cycles=10_000_000):
         """Execute until halt or the cycle budget is exhausted.
 
-        Returns the number of cycles consumed in this call.
+        Returns the number of cycles consumed in this call. Before each
+        instruction the timer ticks when due and a pending interrupt is
+        taken when ``IE`` is set; the budget is checked between
+        instructions, so the last one may overrun it.
         """
-        start = self.cycles
+        if self.halted:
+            return 0
+        memory, regs, decoded = self.memory, self.regs, self._decoded
+        pending = self.pending_irqs
+        pc, flags, count = self.pc, self.flags, self.instructions
+        start = cycles = self.cycles
         limit = start + max_cycles
-        while not self.halted and self.cycles < limit:
-            self.step()
+        # Budget, timer and interrupts are checked only once ``cycles``
+        # reaches ``stop``: the earlier of the budget and the next tick,
+        # or at once after an instruction that may have changed the
+        # interrupt state, the timer or the halt flag (every ``_CALL``).
+        stop = cycles
+        in_self = False  # True while self.pc/flags/... are the live state
+        try:
+            while True:
+                if cycles >= stop:
+                    if cycles >= limit:
+                        break
+                    tick = self._next_timer
+                    if tick is not None and cycles >= tick:
+                        pending.add(IRQ_TIMER)
+                        self._next_timer = tick + self.timer_period
+                    if pending and flags & FLAG_IE:
+                        self.pc, self.flags, self.cycles = pc, flags, cycles
+                        self.instructions = count
+                        in_self = True
+                        self._take_interrupt()
+                        in_self = False
+                        pc, flags, cycles = self.pc, self.flags, self.cycles
+                        if self.halted:
+                            limit = cycles  # finish this instruction only
+                    tick = self._next_timer
+                    stop = limit if tick is None or tick > limit else tick
+
+                word, cost, kind, a, b, c = decoded.get(pc, _UNDECODED)
+                if word is not memory[pc]:
+                    word, cost, kind, a, b, c = decoded[pc] = self._decode(pc)
+                count += 1
+                cycles += cost
+                pc += 1
+                if kind == _SUBI:
+                    # == _set_zn(to_signed(regs[b]) - c), wrapped to 32 bits
+                    value = regs[a] = (regs[b] - c) & MASK32
+                    if not value:
+                        flags = flags & _NOT_ZN | FLAG_Z
+                    elif value & _SIGN:
+                        flags = flags & _NOT_ZN | FLAG_N
+                    else:
+                        flags &= _NOT_ZN
+                elif kind == _BGT:
+                    if not flags & _NZ:
+                        pc = a
+                elif kind == _JMP:
+                    pc = a
+                elif kind == _NOP:
+                    pass
+                else:
+                    self.pc, self.flags, self.cycles = pc, flags, cycles
+                    self.instructions = count
+                    in_self = True
+                    a(self, *b)
+                    in_self = False
+                    pc, flags, cycles = self.pc, self.flags, self.cycles
+                    if self.halted:
+                        break
+                    stop = cycles
+        finally:
+            if not in_self:
+                self.pc, self.flags, self.cycles = pc, flags, cycles
+                self.instructions = count
         return self.cycles - start
 
-    def run_until(self, cycle):
-        """Execute until the cycle counter reaches ``cycle`` (or halt)."""
-        while not self.halted and self.cycles < cycle:
-            self.step()
-
     def step(self):
-        """Execute one instruction (servicing interrupts first)."""
-        if self.halted:
-            return
-        self._tick_timer()
-        if self.pending_irqs and (self.flags & FLAG_IE):
-            self._take_interrupt()
-        insn = self.memory[self.pc]
-        if not isinstance(insn, tuple):
-            raise ISSError(
-                f"pc={self.pc:#06x}: not an instruction ({insn!r})"
-            )
-        opcode, operands = insn
-        self.instructions += 1
-        self.cycles += isa.INSTRUCTIONS[opcode][1]
-        self.pc += 1
-        getattr(self, f"_op_{opcode}")(*operands)
+        """Execute one instruction (servicing interrupts first).
+
+        Exactly one: every instruction costs at least one cycle.
+        """
+        self.run(max_cycles=1)
+
+    def _decode(self, pc):
+        word = self.memory[pc]
+        if not isinstance(word, tuple):
+            raise ISSError(f"pc={pc:#06x}: not an instruction ({word!r})")
+        opcode, operands = word
+        cost = isa.INSTRUCTIONS[opcode][1]
+        kind = _INLINE.get(opcode, _CALL)
+        if kind == _CALL:
+            # the plain function, not a bound method: no self-reference cycle
+            return word, cost, kind, getattr(type(self), f"_op_{opcode}"), operands, None
+        return (word, cost, kind, *operands) + (None,) * (3 - len(operands))
 
     def raise_irq(self, line):
         """Assert an interrupt line (from devices or the co-simulation)."""
@@ -116,11 +197,6 @@ class ISS:
     # ------------------------------------------------------------------
     # interrupts and timer
     # ------------------------------------------------------------------
-
-    def _tick_timer(self):
-        if self._next_timer is not None and self.cycles >= self._next_timer:
-            self.pending_irqs.add(IRQ_TIMER)
-            self._next_timer += self.timer_period
 
     def _take_interrupt(self):
         line = min(self.pending_irqs)
@@ -203,9 +279,6 @@ class ISS:
     # instruction semantics
     # ------------------------------------------------------------------
 
-    def _op_nop(self):
-        pass
-
     def _op_halt(self):
         self.halted = True
 
@@ -215,25 +288,20 @@ class ISS:
     def _op_mov(self, rd, rs):
         self.regs[rd] = self.regs[rs]
 
-    def _binary(self, rd, ra, rb, fn):
-        self.regs[rd] = self._set_zn(
-            fn(to_signed(self.regs[ra]), to_signed(self.regs[rb]))
-        )
-
     def _op_add(self, rd, ra, rb):
-        self._binary(rd, ra, rb, lambda a, b: a + b)
+        self.regs[rd] = self._set_zn(to_signed(self.regs[ra]) + to_signed(self.regs[rb]))
 
     def _op_sub(self, rd, ra, rb):
-        self._binary(rd, ra, rb, lambda a, b: a - b)
+        self.regs[rd] = self._set_zn(to_signed(self.regs[ra]) - to_signed(self.regs[rb]))
 
     def _op_mul(self, rd, ra, rb):
-        self._binary(rd, ra, rb, lambda a, b: a * b)
+        self.regs[rd] = self._set_zn(to_signed(self.regs[ra]) * to_signed(self.regs[rb]))
 
     def _op_div(self, rd, ra, rb):
         divisor = to_signed(self.regs[rb])
         if divisor == 0:
             raise ISSError(f"division by zero at pc={self.pc - 1:#06x}")
-        self._binary(rd, ra, rb, lambda a, b: int(a / b))
+        self.regs[rd] = self._set_zn(int(to_signed(self.regs[ra]) / divisor))
 
     def _op_and(self, rd, ra, rb):
         self.regs[rd] = self._set_zn(self.regs[ra] & self.regs[rb])
@@ -252,9 +320,6 @@ class ISS:
 
     def _op_addi(self, rd, ra, imm):
         self.regs[rd] = self._set_zn(to_signed(self.regs[ra]) + imm)
-
-    def _op_subi(self, rd, ra, imm):
-        self.regs[rd] = self._set_zn(to_signed(self.regs[ra]) - imm)
 
     def _op_muli(self, rd, ra, imm):
         self.regs[rd] = self._set_zn(to_signed(self.regs[ra]) * imm)
@@ -279,9 +344,6 @@ class ISS:
     def _op_cmpi(self, ra, imm):
         self._set_zn(to_signed(self.regs[ra]) - imm)
 
-    def _op_jmp(self, target):
-        self.pc = target
-
     def _op_jr(self, ra):
         self.pc = self.regs[ra] & 0xFFFF
 
@@ -303,10 +365,6 @@ class ISS:
 
     def _op_ble(self, target):
         if self.flags & (FLAG_N | FLAG_Z):
-            self.pc = target
-
-    def _op_bgt(self, target):
-        if not self.flags & (FLAG_N | FLAG_Z):
             self.pc = target
 
     def _op_call(self, target):

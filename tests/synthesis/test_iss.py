@@ -297,3 +297,114 @@ def test_custom_device_read_write():
     )
     assert iss.regs[2] == 5
     assert iss.regs[3] == 10
+
+
+# -- overwritten code ---------------------------------------------------
+# The ISS decodes each instruction word once and re-uses the decoding,
+# so every way of overwriting code must be seen at the next fetch.
+
+COUNT_LOOP = """
+    _start:
+        ldi r1, 0
+        ldi r3, 50
+    loop:
+        addi r1, r1, 1
+        subi r3, r3, 1
+        bgt loop
+        halt
+    """
+
+
+def _count_loop_after_ten_iterations():
+    program = assemble(COUNT_LOOP)
+    iss = ISS(program)
+    iss.run(max_cycles=40)  # ldi, ldi, 9 loops of 4 cycles, addi, subi
+    assert (iss.regs[1], iss.regs[3]) == (10, 40)
+    return iss, program.symbol("loop")
+
+
+def test_poked_instruction_executes_after_decoding():
+    iss, loop = _count_loop_after_ten_iterations()
+    iss.memory[loop] = ("addi", (1, 1, 100))
+    iss.run()
+    assert iss.halted
+    assert iss.regs[1] == 10 + 40 * 100
+
+
+def test_poked_data_word_raises_at_fetch():
+    iss, loop = _count_loop_after_ten_iterations()
+    iss.memory[loop] = 7
+    with pytest.raises(ISSError, match=r"^pc=0x0102: not an instruction \(7\)$"):
+        iss.run()
+    assert iss.regs[1] == 10
+
+
+def test_device_poke_mid_run_executes_new_instruction():
+    class Patcher:
+        def write(self, iss, value):
+            iss.memory[value] = ("addi", (1, 1, 100))
+
+    iss = run(
+        """
+        .equ DEV, 0xFF10
+        _start:
+            ldi r1, 0
+            ldi r3, 4
+            ldi r4, DEV
+            ldi r5, loop
+        loop:
+            addi r1, r1, 1
+            subi r3, r3, 1
+            cmpi r3, 2
+            bne skip
+            st r5, [r4]     ; patch the loop head from now on
+        skip:
+            cmpi r3, 0
+            bgt loop
+            halt
+        """,
+        devices={0xFF10: Patcher()},
+    )
+    assert iss.halted
+    assert iss.regs[1] == 1 + 1 + 100 + 100
+
+
+def test_program_store_over_code_raises_at_fetch():
+    with pytest.raises(ISSError, match=r"^pc=0x0103: not an instruction \(0\)$"):
+        run(
+            """
+            _start:
+                ldi r1, 0
+                ldi r3, 5
+                ldi r4, loop
+            loop:
+                addi r1, r1, 1
+                subi r3, r3, 1
+                bgt loop
+                st r0, [r4]     ; overwrite the loop head with a data word
+                jmp loop
+            """
+        )
+
+
+def test_fault_while_stacking_an_interrupt_keeps_exact_counters():
+    prog = assemble(
+        """
+        .equ TIMER, 0xFF00
+        _start:
+            ldi sp, 0xFF81  ; the flags push lands on an unmapped device
+            ldi r1, TIMER
+            ldi r2, 20
+            st r2, [r1]     ; first tick at cycle 5 + 20
+            ei
+        spin:
+            nop
+            jmp spin
+        """
+    )
+    iss = ISS(prog)
+    with pytest.raises(ISSError, match="write to unmapped device 0xff80"):
+        iss.run()
+    # 5 set-up instructions, then 6 nop/jmp rounds and a nop up to cycle 25
+    assert (iss.instructions, iss.cycles) == (18, 25)
+    assert iss.pc == prog.symbol("spin") + 1
