@@ -120,18 +120,13 @@ def _horizon_for(spec, cap=2_000_000):
     return max(horizon, 10 * max(periods))
 
 
-def simulate(spec, horizon=None, preemption="immediate"):
-    """Run ``spec`` and return per-task simulation results.
-
-    Returns a dict ``task name -> {"misses", "releases", "cycles",
-    "worst_response", "component", "pe"}`` plus per-component budget
-    stats under the ``"__components__"`` key.
-    """
+def _simulate_rows(spec, horizon, preemption):
+    """Run ``spec``; per-``(pe, task)`` result rows and component stats."""
     if horizon is None:
         horizon = _horizon_for(spec)
     arch = build_architecture(spec, preemption=preemption)
     arch.run(until=horizon)
-    results = {}
+    rows = {}
     comp_stats = {}
     for pe_spec in spec.pes:
         pe = arch.pes[pe_spec.name]
@@ -145,7 +140,7 @@ def simulate(spec, horizon=None, preemption="immediate"):
             }
             for task_spec in comp_spec.tasks:
                 task = by_name[task_spec.name]
-                results[task_spec.name] = {
+                rows[pe_spec.name, task_spec.name] = {
                     "misses": task.stats.deadline_misses,
                     "releases": task.stats.activations + task.stats.cycles_completed,
                     "cycles": task.stats.cycles_completed,
@@ -153,6 +148,20 @@ def simulate(spec, horizon=None, preemption="immediate"):
                     "component": comp_spec.name,
                     "pe": pe_spec.name,
                 }
+    return rows, comp_stats
+
+
+def simulate(spec, horizon=None, preemption="immediate"):
+    """Run ``spec`` and return per-task simulation results.
+
+    Returns a dict ``task name -> {"misses", "releases", "cycles",
+    "worst_response", "component", "pe"}`` plus per-component budget
+    stats under the ``"__components__"`` key. Task names are not unique
+    across PEs; where they repeat, the row of the later PE wins (each
+    row names its ``"pe"``).
+    """
+    rows, comp_stats = _simulate_rows(spec, horizon, preemption)
+    results = {name: row for (_, name), row in rows.items()}
     results["__components__"] = comp_stats
     return results
 
@@ -168,33 +177,34 @@ def cross_validate(spec, horizon=None):
     Returns a dict with the analytic verdict, the simulated miss counts,
     and ``"consistent"`` — False iff a task the analysis guarantees
     missed a deadline in simulation (the contract violation).
+
+    The contract is decided per ``(pe, task)`` pair, because generated
+    systems reuse task names on every PE: ``"violations"``,
+    ``"consistent"`` and ``"missed_tasks"`` never mix up same-named
+    tasks. ``"guaranteed_tasks"`` and ``"simulated_misses"`` keep their
+    bare-name shape (the latter with :func:`simulate`'s later-PE-wins
+    rule for repeated names).
     """
     verdict = check_system(spec)
-    sim_results = simulate(spec, horizon=horizon)
-    guaranteed = set(verdict.guaranteed_tasks)
+    rows, comp_stats = _simulate_rows(spec, horizon, "immediate")
+    guaranteed = set(verdict.guaranteed_pairs)
     violations = []
-    missed_tasks = []
-    for name, row in sim_results.items():
-        if name == "__components__":
-            continue
+    missed_tasks = set()
+    for (pe, name), row in rows.items():
         if row["misses"] > 0:
-            missed_tasks.append(name)
-            if name in guaranteed:
+            missed_tasks.add(name)
+            if (pe, name) in guaranteed:
                 violations.append(
-                    f"task {name!r} certified schedulable but missed "
-                    f"{row['misses']} deadlines in simulation"
+                    f"task {name!r} on {pe!r} certified schedulable but "
+                    f"missed {row['misses']} deadlines in simulation"
                 )
     return {
         "system": spec.name,
         "analysis_schedulable": verdict.schedulable,
-        "guaranteed_tasks": sorted(guaranteed),
-        "simulated_misses": {
-            name: row["misses"]
-            for name, row in sim_results.items()
-            if name != "__components__"
-        },
+        "guaranteed_tasks": sorted(set(verdict.guaranteed_tasks)),
+        "simulated_misses": {name: row["misses"] for (_, name), row in rows.items()},
         "missed_tasks": sorted(missed_tasks),
-        "component_stats": sim_results["__components__"],
+        "component_stats": comp_stats,
         "violations": violations,
         "consistent": not violations,
     }

@@ -27,6 +27,14 @@ uses two kernel timers per component:
 Server windows are aligned to absolute time (window ``k`` spans
 ``[k·Π, (k+1)·Π)``), matching the analysis' periodic-resource model.
 
+A scheduling point costs O(components) integer compares. Each bounded
+component carries its current ``(window, used)`` pair; only the one
+component whose task holds the CPU consumes budget, so only it is
+charged (at the scheduling points that read its budget, at yield and
+at exhaustion). A component that is not running has static
+consumption: it is ineligible exactly while ``now < blocked_until``,
+the end of the window whose budget it used up.
+
 Enforcement granularity follows the PE's preemption mode, exactly like
 task preemption (paper Section 4.3): in ``immediate`` mode a running
 task is forced off the CPU the instant its server's budget depletes, so
@@ -62,7 +70,8 @@ class ComponentStats:
     def __init__(self):
         #: window index -> execution time consumed by the component's
         #: tasks inside that server window (raw, including any step-mode
-        #: overrun past the budget)
+        #: overrun past the budget); written whenever the component is
+        #: charged
         self.window_consumption = {}
         #: times the component was suspended on budget depletion
         self.throttles = 0
@@ -114,6 +123,11 @@ class Component:
         "tasks",
         "index",
         "stats",
+        "bounded",
+        "blocked_until",
+        "_window",
+        "_win_end",
+        "_used",
         "_run_task",
         "_run_start",
         "_exhaust_timer",
@@ -149,7 +163,18 @@ class Component:
         #: registration order on the PE (top-level tie break)
         self.index = 0
         self.stats = ComponentStats()
-        #: task of this component currently holding the CPU, and since when
+        #: kept in sync with ``budget`` by reconfigure_budget
+        self.bounded = budget is not None
+        #: while not running, the component is out of budget exactly
+        #: while ``now < blocked_until`` (end of the exhausted window)
+        self.blocked_until = 0
+        #: current (window, used) pair: the latest window charged, its
+        #: end time and the consumption charged to it so far
+        self._window = 0
+        self._win_end = 0
+        self._used = 0
+        #: task of this component currently holding the CPU, and the
+        #: time up to which its run has been charged
         self._run_task = None
         self._run_start = None
         self._exhaust_timer = None
@@ -158,46 +183,50 @@ class Component:
 
     # -- budget bookkeeping (all times are integers) -----------------------
 
-    @property
-    def bounded(self):
-        return self.budget is not None
-
-    def window(self, now):
-        """Index of the server window containing ``now``."""
-        return now // self.period
-
     def window_deadline(self, now):
         """End of the current server window (EDF top-level key)."""
-        if self.period is None:
-            return _INF
-        return (self.window(now) + 1) * self.period
-
-    def _charge(self, start, end):
-        """Account executed time, split across server windows."""
-        if not self.bounded or end <= start:
-            return
-        consumption = self.stats.window_consumption
         period = self.period
-        t = start
-        while t < end:
-            w = t // period
-            seg_end = min(end, (w + 1) * period)
-            consumption[w] = consumption.get(w, 0) + (seg_end - t)
-            t = seg_end
+        if period is None:
+            return _INF
+        return (now // period + 1) * period
 
-    def _settle(self, now):
-        """Charge the in-flight run up to ``now`` (idempotent)."""
-        if self._run_start is not None and now > self._run_start:
-            self._charge(self._run_start, now)
-            self._run_start = now
+    def _charge(self, now):
+        """Charge the in-flight run up to ``now``, split at window ends.
+
+        Callers guarantee a bounded component with ``_run_start < now``.
+        """
+        t = self._run_start
+        self._run_start = now
+        ledger = self.stats.window_consumption
+        window = self._window
+        win_end = self._win_end
+        used = self._used
+        while True:
+            if t >= win_end:
+                # the run has rolled over into a fresh window
+                window = t // self.period
+                win_end = (window + 1) * self.period
+                used = 0
+            if now <= win_end:
+                used += now - t
+                ledger[window] = used
+                break
+            used += win_end - t
+            ledger[window] = used
+            t = win_end
+        self._window = window
+        self._win_end = win_end
+        self._used = used
+        self.blocked_until = win_end if used >= self.budget else 0
 
     def remaining(self, now):
         """Budget left in the current server window (inf if unbounded)."""
         if not self.bounded:
             return _INF
-        self._settle(now)
-        used = self.stats.window_consumption.get(self.window(now), 0)
-        left = self.budget - used
+        start = self._run_start
+        if start is not None and now > start:
+            self._charge(now)
+        left = self.budget - (self._used if now < self._win_end else 0)
         return left if left > 0 else 0
 
     def __repr__(self):
@@ -225,7 +254,7 @@ class HierarchicalScheduler(Scheduler):
     """
 
     __slots__ = ("components", "top", "background", "_by_task", "_dispatcher",
-                 "_sim")
+                 "_sim", "_order", "_edf", "_best")
 
     name = "hier"
 
@@ -234,12 +263,17 @@ class HierarchicalScheduler(Scheduler):
         if top not in ("priority", "edf"):
             raise ValueError(f"unknown top-level policy: {top!r}")
         self.top = top
+        self._edf = top == "edf"
         self.components = []
         #: implicit best-effort server for unassigned tasks
         self.background = Component(
             "background", None, None, policy="priority", priority=_INF
         )
         self.background.index = _INF
+        #: peek scan order: components by registration, background last
+        self._order = [self.background]
+        #: component of the task the last peek chose (tied_best)
+        self._best = None
         #: task uid -> component
         self._by_task = {}
         self._dispatcher = None
@@ -257,6 +291,7 @@ class HierarchicalScheduler(Scheduler):
             raise ValueError(f"duplicate component name {comp.name!r}")
         comp.index = len(self.components)
         self.components.append(comp)
+        self._order.insert(comp.index, comp)
         for task in comp.tasks:
             self._by_task[task.uid] = comp
         return comp
@@ -292,110 +327,139 @@ class HierarchicalScheduler(Scheduler):
 
     # ------------------------------------------------------------------
     # Scheduler interface (consumed by the Dispatcher)
+    #
+    # Hot paths inline component_of and the budget check: a bounded
+    # component whose task holds the CPU is charged up to ``now``, after
+    # which ``now < blocked_until`` says whether its budget is gone.
     # ------------------------------------------------------------------
 
     def on_ready(self, task, now):
-        comp = self.component_of(task)
+        comp = self._by_task.get(task.uid, self.background)
         comp.local.on_ready(task, now)
-        if comp.bounded and comp.remaining(now) <= 0:
-            # budget already gone this window: make sure the scheduling
-            # decision re-runs at the next replenishment
-            self._ensure_replenish(comp, now)
+        if comp.bounded:
+            start = comp._run_start
+            if start is not None and now > start:
+                comp._charge(now)
+            blocked = comp.blocked_until
+            if now < blocked and comp._replenish_at != blocked:
+                # budget already gone this window: make sure the
+                # scheduling decision re-runs at the next replenishment
+                self._ensure_replenish(comp)
 
     def remove(self, task):
-        self.component_of(task).local.remove(task)
+        self._by_task.get(task.uid, self.background).local.remove(task)
 
     def peek(self, now):
-        comp = self._peek_component(now)
-        if comp is None:
-            return None
-        return comp.local.peek(now)
-
-    def _peek_component(self, now):
         best = None
+        best_task = None
         best_key = None
-        for comp in self.components:
-            if comp.local.peek(now) is None:
+        edf = self._edf
+        for comp in self._order:
+            local = comp.local
+            # the local policy's memoized peek, read without a call
+            if local._peek_valid:
+                task = local._peek_cache
+            else:
+                task = local.peek(now)
+            if task is None:
                 continue
-            if comp.bounded and comp.remaining(now) <= 0:
-                self._ensure_replenish(comp, now)
-                continue
-            key = self._top_key(comp, now)
-            if best_key is None or key < best_key:
+            if comp.bounded:
+                start = comp._run_start
+                if start is not None and now > start:
+                    comp._charge(now)
+                blocked = comp.blocked_until
+                if now < blocked:
+                    if comp._replenish_at != blocked:
+                        self._ensure_replenish(comp)
+                    continue
+            key = comp.window_deadline(now) if edf else comp.priority
+            # strict compare in registration order = (key, index) order
+            if best is None or key < best_key:
                 best = comp
+                best_task = task
                 best_key = key
-        if self.background.local.peek(now) is not None:
-            key = self._top_key(self.background, now)
-            if best_key is None or key < best_key:
-                best = self.background
-        return best
-
-    def _top_key(self, comp, now):
-        if self.top == "edf":
-            return (comp.window_deadline(now), comp.index)
-        return (comp.priority, comp.index)
+        self._best = best
+        return best_task
 
     def tied_best(self, now):
         # server arbitration is total-ordered by (key, comp.index), so
         # there is never a cross-component tie to expose; within the
         # winning component, local ties are real decision points
-        comp = self._peek_component(now)
-        if comp is None:
+        if self.peek(now) is None:
             return []
-        return comp.local.tied_best(now)
+        return self._best.local.tied_best(now)
 
     def expired(self, task, now):
-        comp = self.component_of(task)
-        if comp.bounded and comp.remaining(now) <= 0:
-            self._ensure_replenish(comp, now)
+        comp = self._by_task.get(task.uid, self.background)
+        if not comp.bounded:
+            return False
+        start = comp._run_start
+        if start is not None and now > start:
+            comp._charge(now)
+        blocked = comp.blocked_until
+        if now < blocked:
+            if comp._replenish_at != blocked:
+                self._ensure_replenish(comp)
             return True
         return False
 
     def preempts(self, candidate, running, now):
-        comp_c = self.component_of(candidate)
-        comp_r = self.component_of(running)
-        if comp_r.bounded and comp_r.remaining(now) <= 0:
-            # the running task's server is out of budget: any eligible
-            # candidate takes the CPU at this scheduling point
-            return True
+        by_task = self._by_task
+        comp_c = by_task.get(candidate.uid, self.background)
+        comp_r = by_task.get(running.uid, self.background)
+        if comp_r.bounded:
+            start = comp_r._run_start
+            if start is not None and now > start:
+                comp_r._charge(now)
+            if now < comp_r.blocked_until:
+                # the running task's server is out of budget: any
+                # eligible candidate takes the CPU at this scheduling point
+                return True
         if comp_c is comp_r:
             return comp_c.local.preempts(candidate, running, now)
-        return self._top_key(comp_c, now) < self._top_key(comp_r, now)
+        if self._edf:
+            return (comp_c.window_deadline(now), comp_c.index) < (
+                comp_r.window_deadline(now), comp_r.index)
+        return (comp_c.priority, comp_c.index) < (comp_r.priority, comp_r.index)
 
     def on_dispatch(self, task, now):
-        comp = self.component_of(task)
+        comp = self._by_task.get(task.uid, self.background)
         comp.local.on_dispatch(task, now)
         comp.stats.dispatches += 1
         comp._run_task = task
         comp._run_start = now
-        if comp.bounded and self._sim is not None:
-            self._cancel(comp, "_exhaust_timer")
-            left = comp.remaining(now)
-            if left < _INF:
-                comp._exhaust_timer = self._sim.schedule_after(
-                    left, lambda: self._exhausted(comp)
-                )
+        sim = self._sim
+        if comp.bounded and sim is not None:
+            timer = comp._exhaust_timer
+            if timer is not None:
+                sim.cancel_scheduled(timer)
+            left = comp.budget - (comp._used if now < comp._win_end else 0)
+            comp._exhaust_timer = sim.schedule_after(
+                left if left > 0 else 0, lambda: self._exhausted(comp)
+            )
 
     def on_yield(self, task, now):
-        comp = self.component_of(task)
+        comp = self._by_task.get(task.uid, self.background)
         if comp._run_task is not task:
             return
-        comp._settle(now)
+        if comp.bounded and now > comp._run_start:
+            comp._charge(now)
         comp._run_task = None
         comp._run_start = None
-        self._cancel(comp, "_exhaust_timer")
-        self._observe_budget(comp, now)
+        timer = comp._exhaust_timer
+        if timer is not None:
+            comp._exhaust_timer = None
+            if self._sim is not None:
+                self._sim.cancel_scheduled(timer)
+        dispatcher = self._dispatcher
+        if comp.bounded and dispatcher is not None and dispatcher.obs is not None:
+            dispatcher.obs.component_budget(comp.name).set(
+                comp._used if now < comp._win_end else 0
+            )
 
     # ------------------------------------------------------------------
     # budget timers
     # ------------------------------------------------------------------
-
-    def _cancel(self, comp, slot):
-        timer = getattr(comp, slot)
-        if timer is not None:
-            setattr(comp, slot, None)
-            if self._sim is not None:
-                self._sim.cancel_scheduled(timer)
 
     def _exhausted(self, comp):
         """Exhaustion timer callback: throttle or re-arm."""
@@ -417,8 +481,10 @@ class HierarchicalScheduler(Scheduler):
             now, "sched", dispatcher.name, "throttle",
             component=comp.name, task=task.name,
         )
-        self._observe_throttle(comp)
-        self._ensure_replenish(comp, now)
+        if dispatcher.obs is not None:
+            dispatcher.obs.component_throttles(comp.name).inc()
+        if comp._replenish_at != comp.blocked_until:
+            self._ensure_replenish(comp)
         if dispatcher.running is task and dispatcher.preemption == "immediate":
             # exact enforcement: force the task off the CPU now; its
             # remaining delay resumes after the next dispatch
@@ -440,44 +506,69 @@ class HierarchicalScheduler(Scheduler):
         """
         if isinstance(comp, str):
             comp = self.component(comp)
-        now = self._sim.now if self._sim is not None else 0
-        comp._settle(now)
-        self._cancel(comp, "_exhaust_timer")
+        if budget is not None:
+            budget = int(budget)
+            if budget <= 0 or comp.period is None or budget > comp.period:
+                raise ValueError(
+                    f"component {comp.name!r}: budget {budget!r} must be in "
+                    f"1..period ({comp.period})"
+                )
+        sim = self._sim
+        now = sim.now if sim is not None else 0
+        start = comp._run_start
+        if start is not None and now > start:
+            if comp.bounded:
+                comp._charge(now)
+            else:
+                comp._run_start = now  # unbounded time is never charged
+        timer = comp._exhaust_timer
+        if timer is not None:
+            comp._exhaust_timer = None
+            if sim is not None:
+                sim.cancel_scheduled(timer)
         if budget is None:
             comp.budget = None
-            self._cancel(comp, "_replenish_timer")
+            comp.bounded = False
+            comp.blocked_until = 0
+            timer = comp._replenish_timer
+            if timer is not None:
+                comp._replenish_timer = None
+                if sim is not None:
+                    sim.cancel_scheduled(timer)
             comp._replenish_at = None
             if self._dispatcher is not None:
                 self._dispatcher.resched_from_outside()
             return
-        budget = int(budget)
-        if budget <= 0 or comp.period is None or budget > comp.period:
-            raise ValueError(
-                f"component {comp.name!r}: budget {budget!r} must be in "
-                f"1..period ({comp.period})"
-            )
         comp.budget = budget
+        comp.bounded = True
+        comp.blocked_until = comp._win_end if comp._used >= budget else 0
         if comp._run_task is not None:
             left = comp.remaining(now)
             if left <= 0:
                 self._exhausted(comp)
             else:
-                comp._exhaust_timer = self._sim.schedule_after(
+                comp._exhaust_timer = sim.schedule_after(
                     left, lambda: self._exhausted(comp)
                 )
         elif self._dispatcher is not None:
             # a grown budget can un-throttle the component right away
             self._dispatcher.resched_from_outside()
 
-    def _ensure_replenish(self, comp, now):
-        if self._sim is None or not comp.bounded:
+    def _ensure_replenish(self, comp):
+        """Arm ``comp``'s replenishment timer at ``blocked_until``.
+
+        Callers only invoke this when the armed target differs, so a
+        timer is (re-)armed once per exhausted window.
+        """
+        sim = self._sim
+        if sim is None:
             return
-        target = (comp.window(now) + 1) * comp.period
-        if comp._replenish_at == target and comp._replenish_timer is not None:
-            return
-        self._cancel(comp, "_replenish_timer")
+        timer = comp._replenish_timer
+        if timer is not None:
+            sim.cancel_scheduled(timer)
+        target = comp.blocked_until
         comp._replenish_at = target
-        comp._replenish_timer = self._sim.schedule_at(
+        comp._replenish_timer = sim.schedule_at(
             target, lambda: self._replenished(comp)
         )
 
@@ -490,38 +581,18 @@ class HierarchicalScheduler(Scheduler):
             dispatcher.resched_from_outside()
 
     # ------------------------------------------------------------------
-    # observability (guards mirror the OS services' obs pattern)
-    # ------------------------------------------------------------------
-
-    def _observe_budget(self, comp, now):
-        dispatcher = self._dispatcher
-        obs = dispatcher.obs if dispatcher is not None else None
-        if obs is None or not comp.bounded:
-            return
-        used = comp.stats.window_consumption.get(comp.window(now), 0)
-        obs.component_budget(comp.name).set(used)
-
-    def _observe_throttle(self, comp):
-        obs = self._dispatcher.obs
-        if obs is not None:
-            obs.component_throttles(comp.name).inc()
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
     @property
     def ready_tasks(self):
         tasks = []
-        for comp in self.components:
+        for comp in self._order:
             tasks.extend(comp.local.ready_tasks)
-        tasks.extend(self.background.local.ready_tasks)
         return tasks
 
     def __len__(self):
-        return sum(len(c.local) for c in self.components) + len(
-            self.background.local
-        )
+        return sum(len(c.local) for c in self._order)
 
     def __repr__(self):
         comps = ", ".join(c.name for c in self.components)

@@ -7,6 +7,8 @@ the generated matrix is sampled (the full 20-config sweep runs in CI via
 
 import json
 
+import pytest
+
 from repro.analysis.crossval import (
     build_architecture,
     cross_validate,
@@ -140,3 +142,27 @@ def test_cli_reports_and_exits_clean(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["count"] == 4
     assert payload["consistent"] is True
+
+
+# generated systems reuse task names on every PE; keyed by bare name, a
+# certified task on one PE took the blame for a same-named task's
+# misses on another (these configs reported false violations)
+NAME_COLLISION_CONFIGS = ((2003, 196), (2003, 206), (1009, 23), (1009, 41),
+                          (1009, 130))
+
+
+@pytest.mark.parametrize("seed,index", NAME_COLLISION_CONFIGS)
+def test_contract_is_decided_per_pe_and_task(seed, index):
+    spec = generate_matrix(index + 1, seed)[index]
+    report = cross_validate(spec)
+    assert report["violations"] == []
+    assert report["consistent"] is True
+    # the misses are real, on the PE whose same-named task is not certified
+    assert report["missed_tasks"]
+    certified = set(check_system(spec).guaranteed_pairs)
+    missed_names = set(report["missed_tasks"])
+    assert any(
+        (pe.name, task.name) not in certified
+        for pe in spec.pes for comp in pe.components for task in comp.tasks
+        if task.name in missed_names
+    )
