@@ -17,6 +17,13 @@ from repro.kernel import (
     )
 
 
+def test_simulator_is_the_only_engine():
+    # result files record the engine name; there is no engine selection
+    assert Simulator.backend == "reference"
+    with pytest.raises(TypeError):
+        Simulator(backend="fast")
+
+
 def test_time_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0
@@ -292,7 +299,7 @@ def test_timer_cancellation():
     sim = Simulator()
     fired = []
     timer = sim.schedule_at(10, lambda: fired.append(1))
-    timer.cancel()
+    sim.cancel_scheduled(timer)
     sim.run()
     assert fired == []
     assert sim.now == 0  # cancelled timers don't advance time... (lazy pop)

@@ -220,6 +220,17 @@ def test_timerqueue_cancel_is_lazy_and_compacts():
     assert tq.next_time() == 151
 
 
+def test_timerqueue_cancel_twice_counts_one_dead_entry():
+    tq = TimerQueue()
+    timer = tq.schedule_callback(10, lambda: None)
+    tq.schedule_callback(20, lambda: None)
+    tq.cancel(timer)
+    tq.cancel(timer)
+    assert tq.dead == 1
+    assert tq.next_time() == 20
+    assert tq.dead == 0
+
+
 def test_waitqueue_pop_all_single_waiter_fast_path():
     """The dominant wake shape (one waiter) detaches without building a
     list — and, regression for the copy-elision change, still returns
